@@ -10,7 +10,7 @@ Only packets passing both gates ever contend for decoders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..phy.channels import Channel, overlap_ratio
 from ..phy.interference import DETECTION_MIN_OVERLAP
@@ -59,6 +59,36 @@ def match_rx_channel(
     return None
 
 
+class RxChannels(Tuple[Channel, ...]):
+    """A gateway's receive channels together with their channel-match table.
+
+    Equal to, and hashed and printed like, the plain tuple of channels.
+    :attr:`table` maps each packet channel seen so far to its
+    :func:`match_rx_channel` answer at the default ``min_overlap``;
+    :meth:`match` fills it on a miss, so matching stays in one function.
+    The table belongs to these channels only: a reconfiguration builds a
+    new instance (``Gateway.configure``), so a stale answer cannot
+    survive it.  Kept out of ``__all__``: it is the gateway's internal
+    representation of its configuration.
+    """
+
+    table: Dict[Channel, Optional[Channel]]
+
+    def __new__(cls, channels: Iterable[Channel]) -> "RxChannels":
+        self = super().__new__(cls, channels)
+        self.table = {}
+        return self
+
+    def match(self, packet_channel: Channel) -> Optional[Channel]:
+        """The receive channel that passes ``packet_channel``, memoised."""
+        try:
+            return self.table[packet_channel]
+        except KeyError:
+            rx = match_rx_channel(packet_channel, self)
+            self.table[packet_channel] = rx
+            return rx
+
+
 def detect(
     observation: Observation,
     rx_channels: Sequence[Channel],
@@ -72,12 +102,18 @@ def detect(
     treats every detectable packet identically regardless of SNR level
     or channel crowdedness, so no prioritization happens here.
 
+    A gateway passes its :class:`RxChannels`, whose match table then
+    answers the front-end match instead of re-matching.
+
     Returns:
         A :class:`Detection` with the lock-on timestamp, or ``None`` if
         the packet cannot be seen by this gateway at all.
     """
     tx = observation.transmission
-    rx_channel = match_rx_channel(tx.channel, rx_channels, min_overlap)
+    if isinstance(rx_channels, RxChannels) and min_overlap == DETECTION_MIN_OVERLAP:
+        rx_channel = rx_channels.match(tx.channel)
+    else:
+        rx_channel = match_rx_channel(tx.channel, rx_channels, min_overlap)
     if rx_channel is None:
         return None
     noise = noise_floor_dbm(tx.channel.bandwidth_hz, noise_figure_db)

@@ -22,7 +22,7 @@ from ..phy.interference import Interferer, decode_ok
 from ..phy.link import Position, noise_floor_dbm
 from ..types import Observation, Transmission, time_overlap_s
 from .decoder import DecoderPool
-from .detector import Detection, detect, match_rx_channel
+from .detector import Detection, RxChannels, detect
 from .dispatcher import FcfsDispatcher
 from .models import GatewayModel, get_model
 
@@ -104,15 +104,20 @@ class Gateway:
         self.model = model or get_model()
         self.noise_figure_db = noise_figure_db
         self.collision_resilient = collision_resilient
-        self._channels: Tuple[Channel, ...] = ()
+        self._channels = RxChannels(())
         self.configure(channels)
         self.pool = DecoderPool(self.model.decoders)
         self.pool.trace_gateway_id = gateway_id
         self.reboots = 0
 
     @property
-    def channels(self) -> Tuple[Channel, ...]:
-        """The configured receive channels (sorted by frequency)."""
+    def channels(self) -> RxChannels:
+        """The configured receive channels (sorted by frequency).
+
+        A tuple that also carries the gateway's channel-match table
+        (:class:`~repro.gateway.detector.RxChannels`); ``configure``
+        replaces it, table and all.
+        """
         return self._channels
 
     def configure(self, channels: Sequence[Channel]) -> None:
@@ -137,7 +142,7 @@ class Gateway:
                 f"{self.model.name} receive spectrum of "
                 f"{self.model.rx_spectrum_hz / 1e6:.2f} MHz"
             )
-        self._channels = chans
+        self._channels = RxChannels(chans)
 
     def reboot(self) -> None:
         """Reboot the gateway (clears the decoder pool); counted for latency."""
@@ -254,7 +259,7 @@ class Gateway:
                             snr_db=det.snr_db,
                         )
                     continue
-                if match_rx_channel(tx.channel, self._channels) is None:
+                if self._channels.match(tx.channel) is None:
                     outcome = Outcome.CHANNEL_MISMATCH
                 else:
                     outcome = Outcome.BELOW_SENSITIVITY

@@ -35,22 +35,18 @@ class Channel:
 
     center_hz: float
     bandwidth_hz: float = CHANNEL_BANDWIDTH_HZ
+    # Passband edges, derived once here (the overlap tests read them on
+    # every interferer); excluded from eq, hash, ordering and repr.
+    low_hz: float = field(init=False, compare=False, repr=False)
+    high_hz: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.center_hz <= 0:
             raise ValueError(f"center frequency must be positive: {self.center_hz}")
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth must be positive: {self.bandwidth_hz}")
-
-    @property
-    def low_hz(self) -> float:
-        """Lower passband edge."""
-        return self.center_hz - self.bandwidth_hz / 2.0
-
-    @property
-    def high_hz(self) -> float:
-        """Upper passband edge."""
-        return self.center_hz + self.bandwidth_hz / 2.0
+        object.__setattr__(self, "low_hz", self.center_hz - self.bandwidth_hz / 2.0)
+        object.__setattr__(self, "high_hz", self.center_hz + self.bandwidth_hz / 2.0)
 
     def offset_hz(self, other: "Channel") -> float:
         """Absolute center-frequency offset to another channel."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..obs import runtime as _obs
 from .channels import Channel, overlap_ratio
@@ -131,6 +131,51 @@ class Interferer:
     same_network: bool = True
 
 
+# What one interferer contributes to a decode decision depends only on
+# (desired channel, interferer channel, desired SF, interferer SF), so it
+# is computed once per such key: the isolation in dB (None when the two
+# channels are disjoint) and whether the pair is a true co-SF channel
+# collision.  A channel enters the key as its compare fields (centre,
+# bandwidth), which equal it under Channel's eq but hash and compare in
+# C.  The table is cleared when full, so processes that sweep many plans
+# stay small.
+_PAIR_TERMS: Dict[tuple, Tuple[Optional[float], bool]] = {}
+_PAIR_TERMS_MAX = 1 << 16
+
+
+def _pair_terms(
+    desired_channel: Channel,
+    interferer_channel: Channel,
+    desired_sf: SpreadingFactor,
+    interferer_sf: SpreadingFactor,
+) -> Tuple[Optional[float], bool]:
+    key = (
+        desired_channel.center_hz,
+        desired_channel.bandwidth_hz,
+        interferer_channel.center_hz,
+        interferer_channel.bandwidth_hz,
+        desired_sf,
+        interferer_sf,
+    )
+    terms = _PAIR_TERMS.get(key)
+    if terms is None:
+        ov = overlap_ratio(desired_channel, interferer_channel)
+        isolation = (
+            None
+            if ov <= 0.0
+            else overlap_rejection_db(ov)
+            + sf_isolation_db(desired_sf, interferer_sf)
+        )
+        collides = ov >= DETECTION_MIN_OVERLAP and not orthogonal(
+            desired_sf, interferer_sf
+        )
+        terms = (isolation, collides)
+        if len(_PAIR_TERMS) >= _PAIR_TERMS_MAX:
+            _PAIR_TERMS.clear()
+        _PAIR_TERMS[key] = terms
+    return terms
+
+
 def _dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
@@ -156,12 +201,11 @@ def effective_noise_mw(
     """
     total = _dbm_to_mw(noise_dbm)
     for intf in interferers:
-        ov = overlap_ratio(desired_channel, intf.channel)
-        if ov <= 0.0:
-            continue
-        isolation = overlap_rejection_db(ov) + sf_isolation_db(
-            desired_sf, intf.sf
+        isolation, _ = _pair_terms(
+            desired_channel, intf.channel, desired_sf, intf.sf
         )
+        if isolation is None:
+            continue
         total += _dbm_to_mw(intf.rssi_dbm - isolation)
     return total
 
@@ -207,8 +251,7 @@ def decode_ok(
     ):
         return False
     for intf in interferers:
-        ov = overlap_ratio(desired_channel, intf.channel)
-        if ov >= DETECTION_MIN_OVERLAP and not orthogonal(sf, intf.sf):
-            if rssi_dbm - intf.rssi_dbm < CO_SF_CAPTURE_DB:
-                return False
+        _, collides = _pair_terms(desired_channel, intf.channel, sf, intf.sf)
+        if collides and rssi_dbm - intf.rssi_dbm < CO_SF_CAPTURE_DB:
+            return False
     return True

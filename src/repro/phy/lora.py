@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import Any
 
 __all__ = [
@@ -152,6 +153,11 @@ class LoRaParams:
         return SNR_THRESHOLD_DB[self.sf]
 
 
+# The timing functions below are pure and their domain is tiny (6 SF x 3
+# bandwidths x at most 256 payload lengths), so they are memoised: the
+# reception hot path asks for the same airtime hundreds of thousands of
+# times.  Raised ValueErrors are not cached, so every bad call re-raises.
+@lru_cache(maxsize=None)
 def symbol_time_s(sf: SpreadingFactor, bandwidth_hz: int = DEFAULT_BANDWIDTH_HZ) -> float:
     """Return the LoRa symbol duration ``2^SF / BW`` in seconds."""
     if bandwidth_hz <= 0:
@@ -159,6 +165,7 @@ def symbol_time_s(sf: SpreadingFactor, bandwidth_hz: int = DEFAULT_BANDWIDTH_HZ)
     return float(2 ** int(sf)) / float(bandwidth_hz)
 
 
+@lru_cache(maxsize=None)
 def preamble_duration_s(
     sf: SpreadingFactor,
     bandwidth_hz: int = DEFAULT_BANDWIDTH_HZ,
@@ -181,6 +188,7 @@ def _low_data_rate_optimize(sf: SpreadingFactor, bandwidth_hz: int) -> bool:
     return symbol_time_s(sf, bandwidth_hz) > 0.016
 
 
+@lru_cache(maxsize=None)
 def time_on_air_s(
     payload_bytes: int,
     sf: SpreadingFactor,

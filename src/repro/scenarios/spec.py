@@ -68,6 +68,16 @@ _NETWORK_ENTRY_KEYS = {
     "node_id_base",
 }
 
+# Numeric keys with a lower bound, checked where a spec enters (parse
+# time) and again for every swept run, so a bad value fails naming its
+# path rather than deep in network construction: (path, bound,
+# inclusive).
+_LOWER_BOUNDS: Tuple[Tuple[str, float, bool], ...] = (
+    ("networks.gateways", 1, True),
+    ("traffic.window_s", 0.0, False),
+    ("assignment.tier.k_nearest", 1, True),
+)
+
 _RUN_KINDS = ("capacity", "load", "chaos")
 _SEED_MODES = ("offset", "hashed")
 
@@ -214,6 +224,19 @@ def _check_enums(resolved: Mapping[str, Any]) -> None:
         raise SpecError("area: preset 'custom' requires width_m and height_m")
 
 
+def _check_bounds(config: Mapping[str, Any], where: str = "") -> None:
+    """Reject out-of-range values of the :data:`_LOWER_BOUNDS` keys."""
+    for path, bound, inclusive in _LOWER_BOUNDS:
+        value = get_path(config, path)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number or not (value >= bound if inclusive else value > bound):
+            relation = ">=" if inclusive else ">"
+            raise SpecError(
+                f"{where}{path}: expected a number {relation} {bound:g}, "
+                f"got {value!r}"
+            )
+
+
 def resolve_spec(user_doc: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate an override document and merge it over the defaults."""
     if user_doc is None:
@@ -228,6 +251,7 @@ def resolve_spec(user_doc: Mapping[str, Any]) -> Dict[str, Any]:
     if resolved.get("faults") is None:
         resolved["faults"] = {}
     _check_enums(resolved)
+    _check_bounds(resolved)
     return resolved
 
 
@@ -372,6 +396,7 @@ def expand_sweep(resolved: Mapping[str, Any]) -> List[RunConfig]:
             for path, value in group.items():
                 set_path(config, path, copy.deepcopy(value))
                 overrides[path] = value
+        _check_bounds(config, where=f"sweep: run {index}: ")
         seed = derive_run_seed(
             int(config["seed"]),
             config["run"]["seed_mode"],

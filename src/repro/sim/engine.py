@@ -223,8 +223,9 @@ class OnlineSimulator(Simulator):
             else None
         )
 
-        # Timeline state.
-        channels = list(gw.channels)
+        # Timeline state.  ``gw.channels`` carries the gateway's
+        # channel-match table, which ``configure`` replaces.
+        channels = gw.channels
         offline_until = float("-inf")
         pending_idx = 0
 
@@ -252,8 +253,8 @@ class OnlineSimulator(Simulator):
                 if st_timeline is not None:
                     st_timeline.end(None)  # count-only: events are rare
                 if ev.channels is not None:
-                    channels = list(ev.channels)
-                    gw.configure(channels)
+                    gw.configure(ev.channels)
+                    channels = gw.channels
                 if ev.decoders is not None:
                     gw.pool.resize(ev.decoders)
                     if rec_trace is not None:
@@ -316,11 +317,9 @@ class OnlineSimulator(Simulator):
                     snr_db=det.snr_db,
                 )
             if det is None:
-                from ..gateway.detector import match_rx_channel
-
                 outcome = (
                     Outcome.CHANNEL_MISMATCH
-                    if match_rx_channel(tx.channel, channels) is None
+                    if channels.match(tx.channel) is None
                     else Outcome.BELOW_SENSITIVITY
                 )
                 out.append(

@@ -174,13 +174,18 @@ def assign_tier_by_reach(
     ``spread_seed`` set, each node picks uniformly among the tiers at
     or above its required one — mimicking the mixed DR usage of
     operational networks where applications, not ADR, choose rates.
+
+    Raises:
+        ValueError: if the network has no gateways or ``k_nearest < 1``.
     """
     from ..phy.link import DEFAULT_TIERS, tier_for_distance
 
     if not network.gateways:
         raise ValueError("network has no gateways")
+    if k_nearest < 1:
+        raise ValueError(f"k_nearest must be at least 1, got {k_nearest}")
     rng = random.Random(spread_seed) if spread_seed is not None else None
-    k = min(max(k_nearest, 1), len(network.gateways))
+    k = min(k_nearest, len(network.gateways))
     for dev in network.devices:
         distances = sorted(
             dev.position.distance_to(gw.position) for gw in network.gateways

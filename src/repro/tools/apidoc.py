@@ -64,6 +64,9 @@ def _document_module(module) -> List[str]:
         obj = getattr(module, name, None)
         if obj is None:
             continue
+        # Document a decorated function (e.g. ``functools.lru_cache``)
+        # as the function it wraps: same signature, same summary.
+        obj = inspect.unwrap(obj)
         if inspect.getmodule(obj) is not None and (
             inspect.getmodule(obj).__name__ != module.__name__
         ):

@@ -41,6 +41,12 @@ class Transmission:
             so is retransmitted when none arrives).
         attempt: Retransmission index — 0 for the original send, 1+ for
             re-sends of the same frame counter.
+        airtime_s: Total time-on-air of the packet (derived).
+        preamble_s: Preamble duration; the decoder locks on at its end
+            (derived).
+        lock_on_s: The instant a gateway channel locks onto this packet,
+            the FCFS key (derived).
+        end_s: Transmission end time (derived).
     """
 
     node_id: int
@@ -53,33 +59,27 @@ class Transmission:
     counter: int = 0
     confirmed: bool = False
     attempt: int = 0
+    # Timing derived once in __post_init__ (the reception pipeline reads
+    # it per packet per gateway); excluded from eq, hash and repr, and
+    # recomputed by ``dataclasses.replace``.
+    airtime_s: float = field(init=False, compare=False, repr=False)
+    preamble_s: float = field(init=False, compare=False, repr=False)
+    lock_on_s: float = field(init=False, compare=False, repr=False)
+    end_s: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        bandwidth_hz = int(self.channel.bandwidth_hz)
+        airtime_s = time_on_air_s(self.payload_bytes, self.sf, bandwidth_hz)
+        preamble_s = preamble_duration_s(self.sf, bandwidth_hz)
+        object.__setattr__(self, "airtime_s", airtime_s)
+        object.__setattr__(self, "preamble_s", preamble_s)
+        object.__setattr__(self, "lock_on_s", self.start_s + preamble_s)
+        object.__setattr__(self, "end_s", self.start_s + airtime_s)
 
     @property
     def params(self) -> LoRaParams:
         """The PHY parameter set of this transmission."""
         return LoRaParams(sf=self.sf, bandwidth_hz=int(self.channel.bandwidth_hz))
-
-    @property
-    def airtime_s(self) -> float:
-        """Total time-on-air of the packet."""
-        return time_on_air_s(
-            self.payload_bytes, self.sf, int(self.channel.bandwidth_hz)
-        )
-
-    @property
-    def preamble_s(self) -> float:
-        """Preamble duration; the decoder locks on at its end."""
-        return preamble_duration_s(self.sf, int(self.channel.bandwidth_hz))
-
-    @property
-    def lock_on_s(self) -> float:
-        """The instant a gateway channel locks onto this packet (FCFS key)."""
-        return self.start_s + self.preamble_s
-
-    @property
-    def end_s(self) -> float:
-        """Transmission end time."""
-        return self.start_s + self.airtime_s
 
     def key(self) -> tuple:
         """Dedup key used by the network server."""

@@ -55,6 +55,63 @@ class TestValidation:
         assert resolved["meta"]["anything"] == [1, 2]
 
 
+class TestValueBounds:
+    """Out-of-range values are rejected where the spec enters."""
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_gateways_below_one(self, value):
+        with pytest.raises(SpecError, match=r"^networks\.gateways: .*>= 1"):
+            resolve_spec({"networks": {"gateways": value}})
+
+    @pytest.mark.parametrize("value", [0, 0.0, -1.5])
+    def test_window_not_positive(self, value):
+        with pytest.raises(SpecError, match=r"^traffic\.window_s: .*> 0"):
+            resolve_spec({"traffic": {"window_s": value}})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_k_nearest_below_one(self, value):
+        with pytest.raises(SpecError, match=r"^assignment\.tier\.k_nearest: .*>= 1"):
+            resolve_spec({"assignment": {"tier": {"k_nearest": value}}})
+
+    def test_non_number_rejected(self):
+        with pytest.raises(SpecError, match=r"networks\.gateways: .*'two'"):
+            resolve_spec({"networks": {"gateways": "two"}})
+
+    def test_parse_error_names_the_file(self):
+        with pytest.raises(SpecError, match=r"^bad\.yaml: traffic\.window_s"):
+            parse_spec("traffic: {window_s: 0}\n", "bad.yaml")
+
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            ("networks.gateways", 0),
+            ("traffic.window_s", -1.0),
+            ("assignment.tier.k_nearest", 0),
+        ],
+    )
+    def test_sweep_setting_bad_value(self, path, bad):
+        resolved = resolve_spec({"sweep": {path: [2, bad]}})
+        with pytest.raises(SpecError, match=rf"^sweep: run 1: {path}: "):
+            expand_sweep(resolved)
+
+    def test_zip_sweep_setting_bad_value(self):
+        resolved = resolve_spec(
+            {"sweep": {"zip": {"networks.gateways": [1, 0], "networks.devices": [4, 8]}}}
+        )
+        with pytest.raises(SpecError, match=r"^sweep: run 1: networks\.gateways"):
+            expand_sweep(resolved)
+
+    def test_boundary_values_accepted(self):
+        resolved = resolve_spec(
+            {
+                "networks": {"gateways": 1},
+                "traffic": {"window_s": 0.001},
+                "assignment": {"tier": {"k_nearest": 1}},
+            }
+        )
+        assert len(expand_sweep(resolved)) == 1
+
+
 class TestMerge:
     def test_override_round_trip(self):
         overrides = {

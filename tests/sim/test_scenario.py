@@ -110,3 +110,9 @@ class TestTierByReach:
         net.devices = build_network(1, 1, 2, list(plan_16), seed=0).devices
         with pytest.raises(ValueError):
             assign_tier_by_reach(net)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_nearest_below_one(self, plan_16, k):
+        net = build_network(1, 2, 4, list(plan_16), seed=0)
+        with pytest.raises(ValueError, match="k_nearest"):
+            assign_tier_by_reach(net, k_nearest=k)

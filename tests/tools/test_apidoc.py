@@ -42,3 +42,31 @@ class TestGeneration:
         if not committed.exists():
             pytest.skip("docs/API.md not present")
         assert committed.read_text() == generate_api_docs()
+
+
+class TestWrappedFunctions:
+    def test_lru_cache_function_keeps_signature_and_summary(self, monkeypatch):
+        """A memoised function is documented like the function it wraps."""
+        import functools
+        import sys
+        import types
+
+        from repro.tools.apidoc import _document_module
+
+        module = types.ModuleType("fake_cached")
+
+        def airtime(payload_bytes: int, sf: int = 7) -> float:
+            """Memoised airtime of a packet."""
+            return float(payload_bytes * sf)
+
+        airtime.__module__ = module.__name__
+        module.airtime = functools.lru_cache(maxsize=None)(airtime)
+        module.__all__ = ["airtime"]
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+
+        lines = _document_module(module)
+        assert (
+            "* **`airtime(payload_bytes: int, sf: int = 7) -> float`** — "
+            "Memoised airtime of a packet."
+        ) in lines
+        assert not any("constant" in line for line in lines)
