@@ -10,6 +10,7 @@ packets consume decoder resources before being discarded.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,6 +33,39 @@ __all__ = ["Outcome", "GatewayReception", "Gateway"]
 def _obs_start_s(obs: Observation) -> float:
     """Sort key for the interference time index (hoisted: hot path)."""
     return obs.transmission.start_s
+
+
+# One lane of the interference index: observations sharing a channel and
+# an airtime, by start time, with their starts, their ranks in the
+# interferer order, and the shared airtime.
+_Lane = Tuple[List[Observation], List[float], List[int], float]
+
+
+class _TimeIndex:
+    """A gateway run's observations in lanes, grouped by channel.
+
+    ``eligible`` caches, per desired channel (as centre and bandwidth),
+    the lanes whose channel overlaps it in frequency.
+    """
+
+    __slots__ = ("channels", "eligible")
+
+    def __init__(
+        self, channels: Dict[Tuple[float, float], Tuple[Channel, Dict[float, _Lane]]]
+    ) -> None:
+        self.channels = channels
+        self.eligible: Dict[Tuple[float, float], List[_Lane]] = {}
+
+    def lanes_overlapping(self, channel: Channel) -> List[_Lane]:
+        """Every lane whose channel shares spectrum with ``channel``."""
+        lanes = [
+            lane
+            for other, by_airtime in self.channels.values()
+            if overlap_hz(channel, other) > 0.0
+            for lane in by_airtime.values()
+        ]
+        self.eligible[(channel.center_hz, channel.bandwidth_hz)] = lanes
+        return lanes
 
 
 class Outcome(Enum):
@@ -156,68 +190,78 @@ class Gateway:
                 gateway=self.gateway_id,
             ).inc()
 
-    # Frequency bucket width for the interference index.  Signals more
-    # than one channel spacing away cannot overlap a 125/250/500 kHz
-    # passband, so each packet only inspects its own and adjacent buckets.
+    # Frequency bucket width of the interferer order.  A packet's
+    # interferers are reported bucket by bucket, ascending, and by start
+    # time within a bucket: the order ``effective_noise_mw`` sums them in.
     _BUCKET_HZ = 200_000.0
 
     @classmethod
-    def _build_time_index(
-        cls, observations: Sequence[Observation]
-    ) -> Dict[int, Tuple[List[Observation], List[float], float]]:
-        """Index observations by frequency bucket and start time.
+    def _build_time_index(cls, observations: Sequence[Observation]) -> _TimeIndex:
+        """Index observations into lanes: one per channel and airtime.
 
-        Keeps the scaled-operation scenarios (tens of thousands of
-        packets) near linear: interference lookups scan only
-        time-adjacent packets in frequency-adjacent buckets.
+        Each lane lists its observations by start time, so a lookup
+        scans only the packets that start less than one lane airtime
+        before the desired packet and before its end.  Every
+        observation carries its rank in the interferer order, bucket
+        then position in the bucket by start (ties in input order),
+        as the one integer ``bucket * n + position``.
         """
-        buckets: Dict[int, List[Observation]] = {}
-        for obs in observations:
-            key = int(obs.transmission.channel.center_hz // cls._BUCKET_HZ)
-            buckets.setdefault(key, []).append(obs)
-        index: Dict[int, Tuple[List[Observation], List[float], float]] = {}
-        for key, group in buckets.items():
-            group.sort(key=_obs_start_s)
-            starts = [_obs_start_s(o) for o in group]
-            max_airtime = max(o.transmission.airtime_s for o in group)
-            index[key] = (group, starts, max_airtime)
-        return index
+        n = len(observations)
+        bucket_hz = cls._BUCKET_HZ
+        in_bucket: Dict[int, int] = {}
+        channels: Dict[Tuple[float, float], Tuple[Channel, Dict[float, _Lane]]] = {}
+        for obs in sorted(observations, key=_obs_start_s):
+            tx = obs.transmission
+            ch = tx.channel
+            key = int(ch.center_hz // bucket_hz)
+            pos = in_bucket.get(key, 0)
+            in_bucket[key] = pos + 1
+            group = channels.get((ch.center_hz, ch.bandwidth_hz))
+            if group is None:
+                group = channels[(ch.center_hz, ch.bandwidth_hz)] = (ch, {})
+            lane = group[1].get(tx.airtime_s)
+            if lane is None:
+                lane = group[1][tx.airtime_s] = ([], [], [], tx.airtime_s)
+            lane[0].append(obs)
+            lane[1].append(tx.start_s)
+            lane[2].append(key * n + pos)
+        return _TimeIndex(channels)
 
     def _interferers_for(
-        self,
-        det: Detection,
-        index: Dict[int, Tuple[List[Observation], List[float], float]],
+        self, det: Detection, index: _TimeIndex
     ) -> List[Interferer]:
         """Concurrent transmissions adding energy into ``det``'s passband."""
-        from bisect import bisect_left, bisect_right
-
         me = det.tx
-        center_key = int(me.channel.center_hz // self._BUCKET_HZ)
-        interferers: List[Interferer] = []
-        for key in (center_key - 1, center_key, center_key + 1):
-            entry = index.get(key)
-            if entry is None:
-                continue
-            ordered, starts, max_airtime = entry
-            lo = bisect_left(starts, me.start_s - max_airtime)
-            hi = bisect_right(starts, me.end_s)
-            for obs in ordered[lo:hi]:
+        ch = me.channel
+        lanes = index.eligible.get((ch.center_hz, ch.bandwidth_hz))
+        if lanes is None:
+            lanes = index.lanes_overlapping(ch)
+        start_s = me.start_s
+        end_s = me.end_s
+        hits: List[Tuple[int, Interferer]] = []
+        for ordered, starts, ranks, airtime_s in lanes:
+            # A lane member overlaps only if it starts after
+            # ``start_s - airtime_s`` and before ``end_s``.
+            for i in range(
+                bisect_left(starts, start_s - airtime_s), bisect_left(starts, end_s)
+            ):
+                obs = ordered[i]
                 other = obs.transmission
-                if other is me:
+                if other is me or time_overlap_s(me, other) <= 0.0:
                     continue
-                if time_overlap_s(me, other) <= 0.0:
-                    continue
-                if overlap_hz(me.channel, other.channel) <= 0.0:
-                    continue
-                interferers.append(
-                    Interferer(
-                        rssi_dbm=obs.rssi_dbm,
-                        sf=other.sf,
-                        channel=other.channel,
-                        same_network=other.network_id == me.network_id,
+                hits.append(
+                    (
+                        ranks[i],
+                        Interferer(
+                            rssi_dbm=obs.rssi_dbm,
+                            sf=other.sf,
+                            channel=other.channel,
+                            same_network=other.network_id == me.network_id,
+                        ),
                     )
                 )
-        return interferers
+        hits.sort()  # ranks are unique: Interferers are never compared
+        return [hit for _, hit in hits]
 
     def receive(
         self, observations: Sequence[Observation]
