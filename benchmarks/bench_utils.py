@@ -37,7 +37,7 @@ def run_once(benchmark, fn, health=False, flight=False, **kwargs):
 
     def observed(**kw):
         with observe(
-            trace=True, metrics=False, spans=False, health=health,
+            trace=True, metrics=False, health=health,
             flight=flight,
         ) as session:
             # Count-only mode: emit() tallies per-type counts before the

@@ -59,7 +59,7 @@ def _spec():
 
 def _observed(fn, **kwargs):
     """Run ``fn`` in the count-only session ``run_once`` uses."""
-    with observe(trace=True, metrics=False, spans=False) as session:
+    with observe(trace=True, metrics=False) as session:
         session.recorder.max_events = 0
         return fn(**kwargs)
 

@@ -117,7 +117,7 @@ def _run_traced(
         "seed": run.seed,
     }
     with observe(
-        trace=True, metrics=False, spans=False, flight=flight, manifest=manifest
+        trace=True, metrics=False, flight=flight, manifest=manifest
     ) as session:
         assert session.recorder is not None
         session.recorder.set_context(root.child(run.run_id))
@@ -161,7 +161,6 @@ def execute_one(
         and out_dir is not None
         and _obs_runtime.TRACE is None
         and _obs_runtime.METRICS is None
-        and _obs_runtime.SPANS is None
         and _obs_runtime.HEALTH is None
         and _obs_runtime.FLIGHT is None
     )

@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence, Tuple
 from ..obs import runtime as _obs
 from ..obs.events import EventType
 from ..obs.perf import Phase, phase_timed
-from ..obs.profiling import span
 from .decoder import DecoderLease, DecoderPool
 from .detector import Detection
 
@@ -61,9 +60,7 @@ class FcfsDispatcher:
             key=lambda d: (d.lock_on_s, d.tx.network_id, d.tx.node_id),
         )
         results: List[DispatchResult] = []
-        with span("gw.dispatch"), phase_timed(
-            Phase.DISPATCH, items=len(ordered)
-        ):
+        with phase_timed(Phase.DISPATCH, items=len(ordered)):
             for det in ordered:
                 tx = det.tx
                 blockers: Tuple[DecoderLease, ...] = ()

@@ -46,7 +46,6 @@ class LintConfig:
     """
 
     wall_clock_modules: Tuple[str, ...] = (
-        "src/repro/obs/profiling.py",
         "src/repro/obs/manifest.py",
         "src/repro/obs/perf.py",
     )

@@ -11,8 +11,8 @@ behavioural impact:
   Master retries, GA telemetry) exported as schema-versioned JSONL.
 * :class:`MetricsRegistry` — counters / gauges / histograms with
   Prometheus-text and JSON export.
-* :func:`span` — nested profiling spans aggregated into a per-run
-  flame summary.
+* :class:`PerfProbe` — per-phase hot-path timing and work counts
+  (attached on its own, see :mod:`repro.obs.perf`).
 * :func:`observe` — scoped activation; every hook in the simulation
   stack is a no-op unless a session is active.
 
@@ -24,7 +24,6 @@ Usage::
         result = run_chaos(seed=0)
     session.recorder.write_jsonl("chaos_trace.jsonl")
     print(session.metrics.to_prometheus())
-    print(session.flame())
 
 Traces are deterministic: events carry simulation time only; wall-clock
 measurements live in ``*wall_s`` fields stripped from the canonical
@@ -57,7 +56,6 @@ from .perf import (
     render_throughput,
     run_profiled,
 )
-from .profiling import SpanAggregator, SpanStat, render_flame, span
 from .recorder import TraceRecorder, load_trace
 from .timeline import (
     decoder_occupancy,
@@ -81,10 +79,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "SpanAggregator",
-    "SpanStat",
-    "span",
-    "render_flame",
     "PerfProbe",
     "PhaseStat",
     "Phase",
@@ -122,27 +116,19 @@ __all__ = [
 
 
 class ObservabilitySession:
-    """The recorder / registry / span aggregator of one observed run."""
+    """The recorder / registry / monitors of one observed run."""
 
     def __init__(
         self,
         recorder: Optional[TraceRecorder],
         metrics: Optional[MetricsRegistry],
-        spans: Optional[SpanAggregator],
         health: Optional[HealthMonitor] = None,
         flight: Optional[FlightRecorder] = None,
     ) -> None:
         self.recorder = recorder
         self.metrics = metrics
-        self.spans = spans
         self.health = health
         self.flight = flight
-
-    def flame(self) -> str:
-        """Rendered flame summary of the recorded spans."""
-        if self.spans is None:
-            return "(profiling disabled)"
-        return render_flame(self.spans.flame_summary())
 
     def event_counts(self) -> Dict[str, int]:
         """Events recorded so far, by type (empty when tracing is off)."""
@@ -155,7 +141,6 @@ class ObservabilitySession:
 def observe(
     trace: bool = True,
     metrics: bool = True,
-    spans: bool = True,
     health: Union[bool, HealthMonitor] = False,
     flight: Union[bool, FlightRecorder] = False,
     manifest: Optional[Dict[str, Any]] = None,
@@ -177,7 +162,6 @@ def observe(
     if (
         runtime.TRACE is not None
         or runtime.METRICS is not None
-        or runtime.SPANS is not None
         or runtime.HEALTH is not None
         or runtime.FLIGHT is not None
     ):
@@ -204,13 +188,10 @@ def observe(
     session = ObservabilitySession(
         recorder=recorder,
         metrics=MetricsRegistry() if metrics else None,
-        spans=SpanAggregator() if spans else None,
         health=monitor,
         flight=black_box,
     )
-    runtime.activate(
-        session.recorder, session.metrics, session.spans, monitor, black_box
-    )
+    runtime.activate(session.recorder, session.metrics, monitor, black_box)
     try:
         yield session
     finally:

@@ -12,7 +12,7 @@ The recorder subscribes to the trace bus like any listener
 (:meth:`observe_event`), so it works on count-only recorders
 (``max_events=0``) — full storage off, black box on.  Overhead versus a
 detached run stays under the 5 % observability budget, asserted by
-``benchmarks/test_flight_overhead.py``.
+``benchmarks/test_hook_overhead.py``.
 
 Dump files are diagnostics, not traces: lines carry wall-free event
 bodies but the header records the pid and dump reason, and write errors

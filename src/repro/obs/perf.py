@@ -106,7 +106,7 @@ class PhaseStat:
     ``calls`` and ``items`` are exact (and therefore deterministic for
     a seeded run); wall time is sampled every ``sample_every``-th call
     and scaled by items, keeping the enabled-probe overhead within the
-    <5 % hot-path budget asserted by ``benchmarks/test_perf_overhead``.
+    <5 % hot-path budget asserted by ``benchmarks/test_hook_overhead``.
     """
 
     __slots__ = (
@@ -162,9 +162,10 @@ class PerfProbe:
 
     Single-threaded by design: campaign workers each run their own
     probe in their own process, and the profiling CLI drives one
-    simulation at a time.  Attach with :meth:`attach` (or via
-    ``observe(perf=...)``); hot-path hooks read ``runtime.PERF`` and
-    are a single attribute load plus a ``None`` check when disabled.
+    simulation at a time.  Attach with :meth:`attach` (or
+    :func:`maybe_attach`, which defers to an already attached probe);
+    hot-path hooks read ``runtime.PERF`` and are a single attribute
+    load plus a ``None`` check when disabled.
     """
 
     def __init__(
@@ -246,7 +247,6 @@ class PerfProbe:
         self,
         total_wall_s: Optional[float] = None,
         hotspots: Optional[List[Dict[str, Any]]] = None,
-        flame: Optional[Dict[str, Dict[str, float]]] = None,
     ) -> Dict[str, Any]:
         """The perf report: ``deterministic`` + ``wall`` sections.
 
@@ -301,8 +301,6 @@ class PerfProbe:
         }
         if hotspots is not None:
             report["wall"]["hotspots"] = hotspots
-        if flame is not None:
-            report["wall"]["flame"] = flame
         return report
 
     def to_prometheus(self) -> str:
@@ -360,9 +358,9 @@ def maybe_attach(probe: PerfProbe) -> Iterator[Optional[PerfProbe]]:
 class phase_timed:
     """Times one phase block against the active probe (no-op when off).
 
-    The batch-pipeline analogue of :class:`~repro.obs.profiling.span`:
-    used where a whole phase runs as one block (per-gateway batches,
-    compiler stages).  ``items`` scales the per-item cost estimate.
+    Used where a whole phase runs as one block (per-gateway batches,
+    compiler stages); :func:`perf_count` is the untimed counterpart.
+    ``items`` scales the per-item cost estimate.
     """
 
     __slots__ = ("phase", "items", "_stat", "_t0")
@@ -448,14 +446,12 @@ def run_profiled(
     cprofile: bool = True,
     memory: bool = False,
     top_n: int = 15,
-    flame: Optional[Callable[[], Dict[str, Dict[str, float]]]] = None,
 ) -> Tuple[Any, Dict[str, Any]]:
     """Execute ``fn`` under the full observatory; returns (result, report).
 
     Orchestrates the probe, optional :mod:`cProfile` hotspot capture and
     optional ``tracemalloc`` memory tracking, then assembles the perf
-    report.  ``flame`` is an optional callable returning a flame summary
-    (e.g. ``session.spans.flame_summary``) embedded in the wall section.
+    report.
     """
     probe = PerfProbe(sample_every=sample_every, track_memory=memory)
     hotspots: Optional[List[Dict[str, Any]]] = None
@@ -466,11 +462,7 @@ def run_profiled(
         else:
             result = fn()
     total_wall_s = perf_counter() - t0
-    report = probe.report(
-        total_wall_s=total_wall_s,
-        hotspots=hotspots,
-        flame=flame() if flame is not None else None,
-    )
+    report = probe.report(total_wall_s=total_wall_s, hotspots=hotspots)
     return result, report
 
 

@@ -1,11 +1,10 @@
 """Process-local observability state shared by every instrumented module.
 
 Instrumented hot paths (decoder pool, dispatcher, engine) are written
-against four module-level slots that default to ``None``:
+against five module-level slots that default to ``None``:
 
 * :data:`TRACE` — the active :class:`~repro.obs.recorder.TraceRecorder`
 * :data:`METRICS` — the active :class:`~repro.obs.metrics.MetricsRegistry`
-* :data:`SPANS` — the active :class:`~repro.obs.profiling.SpanAggregator`
 * :data:`HEALTH` — the active :class:`~repro.obs.health.HealthMonitor`
 * :data:`PERF` — the active :class:`~repro.obs.perf.PerfProbe`
 * :data:`FLIGHT` — the active :class:`~repro.obs.flight.FlightRecorder`
@@ -13,8 +12,9 @@ against four module-level slots that default to ``None``:
 A hook is a single attribute load plus a ``None`` check when
 observability is disabled — the overhead budget for the default
 (untraced) configuration is <5 % of the hot-path wall time, asserted by
-``benchmarks/test_obs_overhead.py``.  Activation is scoped with
-:func:`repro.obs.observe` rather than set directly.
+``benchmarks/test_hook_overhead.py``.  Activation is scoped with
+:func:`repro.obs.observe` (and :meth:`~repro.obs.perf.PerfProbe.attach`
+for ``PERF``) rather than set directly.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .health import HealthMonitor
     from .metrics import MetricsRegistry
     from .perf import PerfProbe
-    from .profiling import SpanAggregator
     from .recorder import TraceRecorder
 
 __all__ = [
     "TRACE",
     "METRICS",
-    "SPANS",
     "HEALTH",
     "PERF",
     "FLIGHT",
@@ -43,7 +41,6 @@ __all__ = [
 # The active observability session components (None = disabled).
 TRACE: Optional["TraceRecorder"] = None
 METRICS: Optional["MetricsRegistry"] = None
-SPANS: Optional["SpanAggregator"] = None
 HEALTH: Optional["HealthMonitor"] = None
 # The performance probe has its own lifecycle (PerfProbe.attach): a
 # perf measurement may wrap an observe() session or run without one.
@@ -56,7 +53,6 @@ FLIGHT: Optional["FlightRecorder"] = None
 def activate(
     trace: Optional["TraceRecorder"] = None,
     metrics: Optional["MetricsRegistry"] = None,
-    spans: Optional["SpanAggregator"] = None,
     health: Optional["HealthMonitor"] = None,
     flight: Optional["FlightRecorder"] = None,
 ) -> None:
@@ -65,14 +61,13 @@ def activate(
     Called by :func:`repro.obs.observe`; tests may call it directly.
     Passing ``None`` for a component leaves that dimension disabled.
     """
-    global TRACE, METRICS, SPANS, HEALTH, FLIGHT
+    global TRACE, METRICS, HEALTH, FLIGHT
     TRACE = trace
     METRICS = metrics
-    SPANS = spans
     HEALTH = health
     FLIGHT = flight
 
 
 def deactivate() -> None:
     """Disable all observability (restores the zero-overhead default)."""
-    activate(None, None, None, None, None)
+    activate(None, None, None, None)

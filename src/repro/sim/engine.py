@@ -29,7 +29,6 @@ from ..gateway.gateway import Gateway, GatewayReception, Outcome
 from ..obs import runtime as _obs
 from ..obs.events import EventType
 from ..obs.perf import Phase, PhaseStat, phase_timed
-from ..obs.profiling import span
 from ..phy.channels import Channel
 from ..phy.interference import decode_ok
 from ..phy.link import noise_floor_dbm
@@ -123,25 +122,23 @@ class OnlineSimulator(Simulator):
                 min((t.start_s for t in result.transmissions), default=0.0),
                 max((t.end_s for t in result.transmissions), default=0.0),
             )
-        with span("sim.run_online"):
-            for tx in transmissions:
-                result.receptions.setdefault(tx_key(tx), [])
-            reconfig_by_gw: Dict[int, List[Reconfiguration]] = {}
-            for rc in reconfigurations:
-                reconfig_by_gw.setdefault(rc.gateway_id, []).append(rc)
-            for gw in self.gateways:
-                with span("gateway"):
-                    with phase_timed(Phase.OBSERVE, items=len(transmissions)):
-                        obs = self.observations_at(gw, transmissions)
-                    events = self._gateway_events(
-                        gw, reconfig_by_gw.get(gw.gateway_id, []), fault_plan
-                    )
-                    records = self._run_gateway(gw, obs, events, fault_plan)
-                    with phase_timed(Phase.COLLECT, items=len(records)):
-                        for record in records:
-                            result.receptions[
-                                tx_key(record.transmission)
-                            ].append(record)
+        for tx in transmissions:
+            result.receptions.setdefault(tx_key(tx), [])
+        reconfig_by_gw: Dict[int, List[Reconfiguration]] = {}
+        for rc in reconfigurations:
+            reconfig_by_gw.setdefault(rc.gateway_id, []).append(rc)
+        for gw in self.gateways:
+            with phase_timed(Phase.OBSERVE, items=len(transmissions)):
+                obs = self.observations_at(gw, transmissions)
+            events = self._gateway_events(
+                gw, reconfig_by_gw.get(gw.gateway_id, []), fault_plan
+            )
+            records = self._run_gateway(gw, obs, events, fault_plan)
+            with phase_timed(Phase.COLLECT, items=len(records)):
+                for record in records:
+                    result.receptions[
+                        tx_key(record.transmission)
+                    ].append(record)
         if rec is not None:
             rec.emit(EventType.SIM_RUN_END, run=run_index)
         health = _obs.HEALTH

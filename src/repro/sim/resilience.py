@@ -25,7 +25,6 @@ from ..faults.plan import FaultPlan, _stable_stream_seed
 from ..faults.retry import RetransmitPolicy
 from ..obs import runtime as _obs
 from ..obs.events import EventType
-from ..obs.profiling import span
 from ..types import Transmission
 from .engine import OnlineSimulator, Reconfiguration
 from .simulator import SimulationResult
@@ -133,63 +132,62 @@ def run_with_retransmissions(
     # Frames that already exhausted their budget (or ran off-window).
     abandoned: set = set()
     rounds = 0
-    with span("sim.retransmissions"):
+    result = sim.run_online(
+        all_txs, reconfigurations, fault_plan=fault_plan
+    )
+    while rounds < policy.max_retries:
+        rounds += 1
+        # Latest attempt of each undelivered confirmed frame.
+        latest: Dict[FrameKey, Transmission] = {}
+        delivered_keys = set()
+        for tx in result.transmissions:
+            if not tx.confirmed:
+                continue
+            if result.delivered(tx):
+                delivered_keys.add(tx.key())
+                continue
+            key = tx.key()
+            prev = latest.get(key)
+            if prev is None or tx.attempt > prev.attempt:
+                latest[key] = tx
+        fresh: List[Transmission] = []
+        for key in sorted(latest):
+            if key in delivered_keys or key in abandoned:
+                continue
+            tx = latest[key]
+            if tx.attempt >= policy.max_retries:
+                abandoned.add(key)
+                continue
+            device = _device_for(sim, tx)
+            if device is None:
+                abandoned.add(key)
+                continue
+            start_s = tx.end_s + policy.delay_s(tx.attempt + 1, rng)
+            if start_s > window_s:
+                abandoned.add(key)
+                continue
+            fresh.append(device.retransmit(tx, start_s))
+        rec = _obs.TRACE
+        if rec is not None:
+            rec.emit(
+                EventType.RETX_ROUND,
+                round=rounds,
+                fresh=len(fresh),
+                abandoned=len(abandoned),
+            )
+        logger.debug(
+            "retransmission round %d: %d fresh, %d abandoned",
+            rounds,
+            len(fresh),
+            len(abandoned),
+        )
+        if not fresh:
+            break
+        retransmissions.extend(fresh)
+        all_txs = sorted(all_txs + fresh, key=lambda t: t.start_s)
         result = sim.run_online(
             all_txs, reconfigurations, fault_plan=fault_plan
         )
-        while rounds < policy.max_retries:
-            rounds += 1
-            # Latest attempt of each undelivered confirmed frame.
-            latest: Dict[FrameKey, Transmission] = {}
-            delivered_keys = set()
-            for tx in result.transmissions:
-                if not tx.confirmed:
-                    continue
-                if result.delivered(tx):
-                    delivered_keys.add(tx.key())
-                    continue
-                key = tx.key()
-                prev = latest.get(key)
-                if prev is None or tx.attempt > prev.attempt:
-                    latest[key] = tx
-            fresh: List[Transmission] = []
-            for key in sorted(latest):
-                if key in delivered_keys or key in abandoned:
-                    continue
-                tx = latest[key]
-                if tx.attempt >= policy.max_retries:
-                    abandoned.add(key)
-                    continue
-                device = _device_for(sim, tx)
-                if device is None:
-                    abandoned.add(key)
-                    continue
-                start_s = tx.end_s + policy.delay_s(tx.attempt + 1, rng)
-                if start_s > window_s:
-                    abandoned.add(key)
-                    continue
-                fresh.append(device.retransmit(tx, start_s))
-            rec = _obs.TRACE
-            if rec is not None:
-                rec.emit(
-                    EventType.RETX_ROUND,
-                    round=rounds,
-                    fresh=len(fresh),
-                    abandoned=len(abandoned),
-                )
-            logger.debug(
-                "retransmission round %d: %d fresh, %d abandoned",
-                rounds,
-                len(fresh),
-                len(abandoned),
-            )
-            if not fresh:
-                break
-            retransmissions.extend(fresh)
-            all_txs = sorted(all_txs + fresh, key=lambda t: t.start_s)
-            result = sim.run_online(
-                all_txs, reconfigurations, fault_plan=fault_plan
-            )
     res = ResilientResult(
         result=result, rounds=rounds, retransmissions=retransmissions
     )

@@ -17,7 +17,6 @@ from ..node.device import EndDevice
 from ..obs import runtime as _obs
 from ..obs.events import EventType
 from ..obs.perf import Phase, phase_timed
-from ..obs.profiling import span
 from ..phy.link import Position, noise_floor_dbm
 from ..types import Observation, Transmission
 from .topology import LinkBudget
@@ -168,19 +167,17 @@ class Simulator:
                 min((t.start_s for t in result.transmissions), default=0.0),
                 max((t.end_s for t in result.transmissions), default=0.0),
             )
-        with span("sim.run"):
-            for tx in transmissions:
-                result.receptions.setdefault(tx_key(tx), [])
-            for gw in self.gateways:
-                with span("gateway"):
-                    with phase_timed(Phase.OBSERVE, items=len(transmissions)):
-                        obs = self.observations_at(gw, transmissions)
-                    records = gw.receive(obs)
-                    with phase_timed(Phase.COLLECT, items=len(records)):
-                        for record in records:
-                            result.receptions[
-                                tx_key(record.transmission)
-                            ].append(record)
+        for tx in transmissions:
+            result.receptions.setdefault(tx_key(tx), [])
+        for gw in self.gateways:
+            with phase_timed(Phase.OBSERVE, items=len(transmissions)):
+                obs = self.observations_at(gw, transmissions)
+            records = gw.receive(obs)
+            with phase_timed(Phase.COLLECT, items=len(records)):
+                for record in records:
+                    result.receptions[
+                        tx_key(record.transmission)
+                    ].append(record)
         if rec is not None:
             rec.emit(EventType.SIM_RUN_END, run=run_index)
         health = _obs.HEALTH

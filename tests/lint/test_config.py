@@ -18,7 +18,7 @@ TABLE = textwrap.dedent(
 
     [tool.repro-lint]
     wall-clock-modules = [
-        "src/repro/obs/profiling.py",
+        "src/repro/obs/perf.py",
     ]
     wall-clock-sites = [
         "src/repro/net/client.py::poll",
@@ -33,7 +33,7 @@ class TestLoadConfig:
         (tmp_path / "pyproject.toml").write_text(TABLE)
         config = load_config(str(tmp_path))
         assert config.wall_clock_modules == (
-            "src/repro/obs/profiling.py",
+            "src/repro/obs/perf.py",
         )
         assert config.wall_clock_sites == (
             ("src/repro/net/client.py", "poll"),

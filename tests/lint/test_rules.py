@@ -105,7 +105,7 @@ class TestDet001Precision:
 class TestDet002Precision:
     def test_telemetry_modules_are_exempt(self):
         report = lint_source(
-            "src/repro/obs/profiling.py",
+            "src/repro/obs/perf.py",
             "from time import perf_counter\n"
             "def now() -> float:\n"
             "    return perf_counter()\n",
@@ -160,6 +160,18 @@ class TestObs001Precision:
             "        rec.emit('x')\n",
         )
         assert [f.rule_id for f in report.findings] == ["OBS001"]
+
+    @pytest.mark.parametrize("slot", ["PERF", "FLIGHT"])
+    def test_every_live_slot_is_checked(self, slot):
+        report = lint_source(
+            "src/repro/x.py",
+            "from repro.obs import runtime as _obs\n"
+            "def f() -> None:\n"
+            f"    _obs.{slot}.observe('x')\n"
+            f"    hook = _obs.{slot}\n"
+            "    hook.observe('x')\n",
+        )
+        assert [f.rule_id for f in report.findings] == ["OBS001", "OBS001"]
 
 
 class TestUnit001Precision:

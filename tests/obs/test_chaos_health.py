@@ -76,9 +76,9 @@ class TestChaosAlerts:
         json.dumps(metrics["alerts"])
 
     def test_same_seed_reproduces_alert_timeline(self):
-        with observe(trace=False, metrics=False, spans=False, health=True):
+        with observe(trace=False, metrics=False, health=True):
             again = run_chaos(seed=0, fast=True)
-        with observe(trace=False, metrics=False, spans=False, health=True):
+        with observe(trace=False, metrics=False, health=True):
             baseline = run_chaos(seed=0, fast=True)
         assert again["alerts"] == baseline["alerts"]
 

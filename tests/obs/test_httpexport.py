@@ -91,7 +91,7 @@ class TestEndpoints:
 
     def test_falls_back_to_active_session(self):
         with HealthHTTPExporter() as exporter:
-            with observe(trace=False, spans=False, health=True) as session:
+            with observe(trace=False, health=True) as session:
                 session.metrics.counter("live_total").inc()
                 session.recorder.emit(EventType.GW_LOCK_ON, t=1.0, gw=0)
                 _, metrics_body = _get(exporter.url + "/metrics")

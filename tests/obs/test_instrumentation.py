@@ -11,6 +11,7 @@ from repro.gateway.gateway import Outcome
 from repro.node.traffic import capacity_burst
 from repro.obs import observe
 from repro.obs.events import EventType
+from repro.obs.perf import PerfProbe, Phase
 from repro.sim.engine import OnlineSimulator, Reconfiguration
 from repro.sim.simulator import Simulator
 
@@ -29,7 +30,7 @@ class TestBatchInstrumentation:
             compact_network.gateways, compact_network.devices, link=link
         )
         txs = capacity_burst(compact_network.devices)
-        with observe(spans=False) as session:
+        with observe() as session:
             result = sim.run(txs)
         counts = session.event_counts()
         assert counts["sim.run_start"] == 1
@@ -48,7 +49,7 @@ class TestBatchInstrumentation:
             compact_network.gateways, compact_network.devices, link=link
         )
         txs = capacity_burst(compact_network.devices)
-        with observe(trace=False, spans=False) as session:
+        with observe(trace=False) as session:
             result = sim.run(txs)
         snap = session.metrics.to_json()
         metric_outcomes = {
@@ -59,19 +60,17 @@ class TestBatchInstrumentation:
             k: float(v) for k, v in _outcomes(result).items()
         }
 
-    def test_spans_recorded(self, compact_network, link):
+    def test_phases_recorded(self, compact_network, link):
         sim = Simulator(
             compact_network.gateways, compact_network.devices, link=link
         )
         txs = capacity_burst(compact_network.devices)
-        with observe(trace=False, metrics=False) as session:
+        with PerfProbe().attach() as probe:
             sim.run(txs)
-        summary = session.spans.flame_summary()
-        assert "sim.run" in summary
-        assert summary["sim.run/gateway"]["count"] == len(
-            compact_network.gateways
-        )
-        assert "sim.run/gateway/gw.dispatch" in summary
+        phases = probe.report()["deterministic"]["phases"]
+        # One observe block per gateway batch.
+        assert phases[Phase.OBSERVE]["calls"] == len(compact_network.gateways)
+        assert Phase.DISPATCH in phases
 
     def test_no_events_without_session(self, compact_network, link):
         sim = Simulator(
@@ -94,7 +93,7 @@ class TestOnlineInstrumentation:
             channels=tuple(gw.channels),
             outage_s=5.0,
         )
-        with observe(spans=False) as session:
+        with observe() as session:
             result = sim.run_online(txs, [reconf])
         counts = session.event_counts()
         assert counts["gw.reboot"] == 1

@@ -15,16 +15,13 @@ class TestObserve:
         with observe() as session:
             assert runtime.TRACE is session.recorder
             assert runtime.METRICS is session.metrics
-            assert runtime.SPANS is session.spans
         assert runtime.TRACE is None
         assert runtime.METRICS is None
-        assert runtime.SPANS is None
 
     def test_partial_activation(self):
-        with observe(trace=True, metrics=False, spans=False) as session:
+        with observe(trace=True, metrics=False) as session:
             assert session.recorder is not None
             assert session.metrics is None
-            assert session.spans is None
             assert runtime.METRICS is None
 
     def test_nested_sessions_rejected(self):
@@ -48,13 +45,11 @@ class TestObserve:
         with observe() as session:
             session.recorder.emit("gw.lock_on", t=0.0)
         assert session.event_counts() == {"gw.lock_on": 1}
-        assert session.flame() == "(no spans recorded)"
 
     def test_helpers_with_everything_disabled(self):
-        with observe(trace=False, metrics=False, spans=False) as session:
+        with observe(trace=False, metrics=False) as session:
             pass
         assert session.event_counts() == {}
-        assert session.flame() == "(profiling disabled)"
 
 
 class TestLogging:
